@@ -5,11 +5,11 @@ GO ?= go
 # Benchmark settings for the JSON perf snapshot. 0.2s per benchmark
 # keeps a full run around a minute while staying reasonably stable.
 BENCHTIME ?= 0.2s
-BENCH_JSON ?= BENCH_pr10.json
+BENCH_JSON ?= BENCH_pr12.json
 # The newest committed per-PR snapshot is the regression baseline.
 BENCH_BASELINE ?= $(shell ls BENCH_pr*.json 2>/dev/null | sort -V | tail -1)
 
-.PHONY: verify check fmt vet lint test test-race race-closure race-serve race-delta race-obs race-repl serve-smoke metrics-smoke repl-smoke bench bench-json bench-gate fuzz build examples
+.PHONY: verify check fmt vet lint test test-race race-serve race-delta race-obs race-repl serve-smoke metrics-smoke repl-smoke bench bench-json bench-gate fuzz build examples
 
 # Tier-1: must stay green (ROADMAP.md).
 verify: build test
@@ -20,15 +20,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Full race-detector pass (slow; CI runs the closure-focused subset).
+# Full race-detector pass (slow; CI runs the race-* subsets).
 test-race:
 	$(GO) test -race ./...
-
-# The race leg CI runs per GOMAXPROCS matrix entry: vet plus the
-# closure engine (the only layer with intra-request parallelism) under
-# the race detector.
-race-closure: vet
-	$(GO) test -race -count=1 ./internal/closure/...
 
 # The service tier's concurrency surface under the race detector: the
 # streaming cursor (producer goroutine per query) and the HTTP layer's

@@ -120,23 +120,10 @@ func BenchmarkClosureScChain(b *testing.B) {
 	}
 }
 
-// BenchmarkClosureParallel measures the sharded saturation engine
-// (closure.RDFSClWorkers) against the sequential one (w1 routes to it)
-// on closure-dominated inputs: a deep sc-chain (transitivity-heavy)
-// and an ArtSchema (type/domain/range-heavy, the RDFSEntail shape).
-//
-// Reading the numbers: the worker pool parallelizes the rule-firing
-// joins, so on an n-core machine wall-clock scales ≈ n divided by the
-// engine's single-core CPU overhead (~1.3× at w2, ~1.6× at w8 — the
-// price of per-worker memoization and merge barriers; the heavier
-// artSchema shape sits at the top of that range, ~2× at w8). On a
-// single-core machine (such as the CI container and the box that
-// records BENCH_pr*.json, where GOMAXPROCS=1) there is no parallelism
-// to harvest and ns/op shows exactly that overhead instead of a
-// speedup; run this family on multi-core hardware to observe the
-// scaling. The result sets are bit-identical at every worker count
-// (property-tested in internal/closure).
-func BenchmarkClosureParallel(b *testing.B) {
+// BenchmarkClosureSaturate measures the saturation engine on
+// closure-dominated inputs: a deep sc-chain (transitivity-heavy) and
+// an ArtSchema (type/domain/range-heavy, the RDFSEntail shape).
+func BenchmarkClosureSaturate(b *testing.B) {
 	inputs := []struct {
 		name string
 		g    *graph.Graph
@@ -145,15 +132,13 @@ func BenchmarkClosureParallel(b *testing.B) {
 		{"artSchema1k", gen.ArtSchema(250, 125, 1000, 42)},
 	}
 	for _, in := range inputs {
-		for _, w := range []int{1, 2, 8} {
-			b.Run(fmt.Sprintf("%s/w%d", in.name, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := closure.RDFSClWorkers(context.Background(), in.g, w); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(in.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := closure.RDFSClCtx(context.Background(), in.g); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -61,9 +61,9 @@ func rdfsClSequential(ctx context.Context, g *graph.Graph, order queueOrder, rng
 	return e.out, nil
 }
 
-// Cl returns cl(G) following Definition 3.5 literally: skolemize G to the
-// ground graph G*, close it, and unskolemize the result (dropping triples
-// that become ill-formed). By Lemma 3.4 and Theorem 3.6(2) this coincides
+// Cl returns cl(G) following Definition 3.5: skolemize G to the ground
+// graph G*, close it, and unskolemize the result (dropping triples that
+// become ill-formed). By Lemma 3.4 and Theorem 3.6(2) this coincides
 // with RDFSCl; the two code paths are property-tested against each other.
 func Cl(g *graph.Graph) *graph.Graph {
 	out, _ := ClCtx(context.Background(), g)
@@ -71,12 +71,29 @@ func Cl(g *graph.Graph) *graph.Graph {
 }
 
 // ClCtx is Cl under a context (see RDFSClCtx).
+//
+// Ground graphs (no blank nodes — the common shape of loaded
+// databases) take a direct path: skolemization is the identity on
+// them and the rules introduce no skolem constants, so cl(G) is
+// RDFS-cl(G) verbatim, and the two copies are skipped.
 func ClCtx(ctx context.Context, g *graph.Graph) (*graph.Graph, error) {
+	if g.IsGround() {
+		return RDFSClCtx(ctx, g)
+	}
 	closed, err := RDFSClCtx(ctx, graph.Skolemize(g))
 	if err != nil {
 		return nil, err
 	}
 	return graph.Unskolemize(closed), nil
+}
+
+// ClWorkers is ClCtx; workers is ignored.
+//
+// Deprecated: there is one saturation engine. ClWorkers remains only
+// because the perfbench harness, which is versioned with the benchmark
+// and changes separately, still calls it; use ClCtx.
+func ClWorkers(ctx context.Context, g *graph.Graph, workers int) (*graph.Graph, error) {
+	return ClCtx(ctx, g)
 }
 
 // NaiveRDFSCl computes the closure by repeatedly enumerating every rule

@@ -1,6 +1,7 @@
 package closure
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -236,6 +237,77 @@ func TestClEqualsRDFSCl(t *testing.T) {
 		}
 		if !Cl(g).Equal(RDFSCl(g)) {
 			t.Fatalf("round %d: cl(G) ≠ RDFS-cl(G) on\n%v", round, g)
+		}
+	}
+}
+
+// TestClCtxMatchesDefinition: ClCtx — with its direct path for ground
+// graphs — equals Definition 3.5 done literally (skolemize, RDFSCl,
+// unskolemize), on graphs with blanks and on their ground parts.
+func TestClCtxMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	for round := 0; round < 25; round++ {
+		g := randClosureGraph(rng, 4+rng.Intn(8))
+		for _, in := range []*graph.Graph{g, g.GroundPart()} {
+			want := graph.Unskolemize(RDFSCl(graph.Skolemize(in)))
+			got, err := ClCtx(context.Background(), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("round %d (ground=%v): ClCtx differs from Definition 3.5",
+					round, in.IsGround())
+			}
+		}
+	}
+}
+
+// randVocabAsDataGraph is randClosureGraph with reserved vocabulary
+// also appearing in subject/object position, which pushes Membership
+// onto its materialized-closure fallback and exercises the saturation
+// corner cases (sp edges into dom/range, reflexive reserved loops).
+func randVocabAsDataGraph(rng *rand.Rand, n int) *graph.Graph {
+	names := []term.Term{
+		iri("a"), iri("b"), iri("c"), blk("x"), blk("y"),
+		rdfs.Domain, rdfs.Range, rdfs.Type,
+	}
+	preds := []term.Term{
+		iri("p"), iri("q"), rdfs.SubClassOf, rdfs.SubPropertyOf,
+		rdfs.Type, rdfs.Domain, rdfs.Range,
+	}
+	g := graph.New()
+	for k := 0; k < n; k++ {
+		g.Add(graph.T(names[rng.Intn(len(names))], preds[rng.Intn(len(preds))], names[rng.Intn(len(names))]))
+	}
+	return g
+}
+
+// TestClosureOrderIndependent asserts the engine's queue order is an
+// implementation detail: LIFO (the default), FIFO and a seeded shuffle
+// all reach the same fixpoint.
+func TestClosureOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	for round := 0; round < 40; round++ {
+		g := randVocabAsDataGraph(rng, 3+rng.Intn(9))
+		want, err := rdfsClSequential(context.Background(), g, lifoOrder, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fifo, err := rdfsClSequential(context.Background(), g, fifoOrder, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fifo.Equal(want) {
+			t.Fatalf("round %d: FIFO drain produced a different closure", round)
+		}
+		for seed := int64(0); seed < 3; seed++ {
+			shuf, err := rdfsClSequential(context.Background(), g, shuffledOrder, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !shuf.Equal(want) {
+				t.Fatalf("round %d seed %d: shuffled drain produced a different closure", round, seed)
+			}
 		}
 	}
 }

@@ -13,14 +13,16 @@ import (
 // maintenance: arbitrary bytes decode into a random graph split into a
 // base and an insert batch, and the delta-maintained closure of the
 // saturated base must equal the from-scratch closure of the union —
-// for the sequential engine, the parallel engine, and the cl-level
-// entry points (which also exercise the non-ground fallback whenever
-// the decoded terms include blanks).
+// for the RDFS-cl one-shot and the cl-level entry point (which also
+// exercises the non-ground fallback whenever the decoded terms include
+// blanks).
 //
-// Input layout: data[0] picks the base/batch split point, data[1] the
-// worker count, and every following 3-byte group is one triple whose
-// positions index a small term vocabulary (ill-formed combinations are
-// rejected by graph.Add, exactly as in production ingestion).
+// Input layout: data[0] picks the base/batch split point, data[1] is
+// unused (skipped rather than reinterpreted, so the checked-in corpus
+// keeps decoding to the same triples), and every following
+// 3-byte group is one triple whose positions index a small term
+// vocabulary (ill-formed combinations are rejected by graph.Add,
+// exactly as in production ingestion).
 func FuzzDeltaClosure(f *testing.F) {
 	f.Add([]byte("\x05\x03abcdefghijklmnopqr"))
 	f.Add([]byte("\x00\x07ADGJMPSVY\x01\x02\x03"))
@@ -45,7 +47,6 @@ func FuzzDeltaClosure(f *testing.F) {
 			))
 		}
 		k := int(data[0]) % (len(ts) + 1)
-		workers := 1 + int(data[1])%8
 
 		baseG := graph.New()
 		for _, tr := range ts[:k] {
@@ -61,22 +62,16 @@ func FuzzDeltaClosure(f *testing.F) {
 		want := RDFSCl(union)
 		baseCl := RDFSCl(baseG)
 		if got := DeltaRDFSCl(baseCl, batchG); !got.Equal(want) {
-			t.Fatalf("sequential delta != from-scratch closure\nbase:\n%v\nbatch:\n%v\nonly-want: %v\nonly-got: %v",
+			t.Fatalf("delta != from-scratch closure\nbase:\n%v\nbatch:\n%v\nonly-want: %v\nonly-got: %v",
 				baseG, batchG, want.Minus(got), got.Minus(want))
-		}
-		if got, err := parDeltaRDFSCl(ctx, baseCl, batchG, max(workers, 2)); err != nil {
-			t.Fatalf("parDeltaRDFSCl: %v", err)
-		} else if !got.Equal(want) {
-			t.Fatalf("parallel delta (w=%d) != from-scratch closure\nonly-want: %v\nonly-got: %v",
-				workers, want.Minus(got), got.Minus(want))
 		}
 
 		wantCl := Cl(union)
-		if got, err := DeltaClWorkers(ctx, Cl(baseG), batchG, workers); err != nil {
-			t.Fatalf("DeltaClWorkers: %v", err)
+		if got, err := DeltaClCtx(ctx, Cl(baseG), batchG); err != nil {
+			t.Fatalf("DeltaClCtx: %v", err)
 		} else if !got.Equal(wantCl) {
-			t.Fatalf("DeltaCl (w=%d) != Cl of union\nonly-want: %v\nonly-got: %v",
-				workers, wantCl.Minus(got), got.Minus(wantCl))
+			t.Fatalf("DeltaCl != Cl of union\nonly-want: %v\nonly-got: %v",
+				wantCl.Minus(got), got.Minus(wantCl))
 		}
 	})
 }

@@ -109,11 +109,10 @@ func SortIndex(idx []Triple3) {
 }
 
 // MergeSortedKeys merges sorted, pairwise-disjoint key runs into one
-// sorted slice. It is the reduce step used to assemble a permutation
-// from per-shard sorted runs without re-sorting the concatenation: the
-// parallel closure engine sorts each shard's keys independently and
-// merges the runs here in O(k·n) for k runs. A single non-empty run is
-// returned as-is (callers hand over ownership of the runs).
+// sorted slice in O(k·n) for k runs, without re-sorting the
+// concatenation: extending a graph merges the sorted delta run into
+// each existing permutation here. A single non-empty run is returned
+// as-is (callers hand over ownership of the runs).
 func MergeSortedKeys(runs [][]Triple3) []Triple3 {
 	live := make([][]Triple3, 0, len(runs))
 	total := 0

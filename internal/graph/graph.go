@@ -407,10 +407,8 @@ func (g *Graph) InstallIndex(o dict.Order, keys []dict.Triple3) {
 // hands over ownership of all three slices; violating the contract
 // corrupts MatchID/CountID results, exactly as with InstallIndex.
 //
-// The parallel closure engine uses this to publish its result without
-// a global re-sort: per-shard runs are sorted and merged while the
-// shards are still partitioned, and the set map is the only structure
-// built here.
+// Compaction uses this to publish its rebuilt graph without a global
+// re-sort: the set map is the only structure built here.
 func NewFromIndexes(d *dict.Dict, spo, pos, osp []dict.Triple3) *Graph {
 	g := &Graph{d: d, set: make(map[dict.Triple3]struct{}, len(spo))}
 	for _, enc := range spo {

@@ -29,6 +29,7 @@ func FuzzParse(f *testing.F) {
 		"\x00\xfe\xff",
 		"<urn:a> <urn:p> 42 .",
 		"<urn:a> <urn:p> \"\"\"long\nliteral\"\"\" .",
+		"[ <urn:p> <urn:o> ] .", // bracketed subject, no predicate-object list
 	}
 	for _, s := range seeds {
 		f.Add(s)

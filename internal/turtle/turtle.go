@@ -224,15 +224,26 @@ func (p *parser) baseDirective() error {
 }
 
 func (p *parser) triples() error {
+	p.skipWS()
+	bracketed := !p.eof() && p.peek() == '['
+	before := p.g.Len()
 	subj, err := p.subject()
 	if err != nil {
 		return err
 	}
 	p.skipWS()
-	if err := p.predicateObjectList(subj); err != nil {
-		return err
+	// triples ::= subject predicateObjectList
+	//           | blankNodePropertyList predicateObjectList?
+	// A non-empty "[ p o ]" subject already asserted triples about its
+	// fresh node, so it may end the statement; an empty "[]" is a
+	// plain subject and needs the list.
+	standalone := bracketed && p.g.Len() > before && !p.eof() && p.peek() == '.'
+	if !standalone {
+		if err := p.predicateObjectList(subj); err != nil {
+			return err
+		}
+		p.skipWS()
 	}
-	p.skipWS()
 	if p.eof() || p.peek() != '.' {
 		return p.errf("expected '.' after triples")
 	}

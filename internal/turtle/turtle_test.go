@@ -89,6 +89,28 @@ ex:a ex:knows [ ex:name "Bob" ; ex:age 42 ] .
 	if len(g.BlankNodes()) != 1 {
 		t.Fatalf("anonymous node count = %d", len(g.BlankNodes()))
 	}
+
+	// As a subject, a non-empty "[ … ]" may stand alone (Turtle 1.1
+	// triples ::= blankNodePropertyList predicateObjectList?).
+	for src, want := range map[string]int{
+		`[ <urn:p> <urn:o> ] .`:                  1,
+		`[ <urn:p> <urn:o> ; <urn:q> <urn:r> ].`: 2,
+		`[ <urn:p> <urn:o> ] <urn:q> <urn:r> .`:  2,
+	} {
+		g, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if g.Len() != want || len(g.BlankNodes()) != 1 {
+			t.Fatalf("%s: parsed %d triples over %d blanks, want %d over 1:\n%v",
+				src, g.Len(), len(g.BlankNodes()), want, g)
+		}
+		for _, tr := range g.Triples() {
+			if !tr.S.IsBlank() {
+				t.Fatalf("%s: triple %v does not have the blank subject", src, tr)
+			}
+		}
+	}
 }
 
 func TestLiteralForms(t *testing.T) {
@@ -164,6 +186,7 @@ func TestParseErrors(t *testing.T) {
 		`@prefix ex: <http://e> .` + "\n" + `ex:a ex:p [ ex:q ex:r .`, // unterminated bnode list
 		`@prefix ex: <http://e> .` + "\n" + `"lit" ex:p ex:b .`,       // literal subject
 		`@prefix ex: <http://e> .` + "\n" + `ex:a ex:p "x"@ .`,        // empty lang
+		`[] .`, // an empty "[]" subject needs a predicate-object list
 	}
 	for i, src := range corpus {
 		if _, err := Parse(src); err == nil {

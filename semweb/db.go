@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,7 +145,6 @@ type config struct {
 	initial        *Graph
 	walThreshold   int64
 	noFsync        bool
-	parallelism    int  // closure saturation workers; 0 means 1
 	noDeltaPrepare bool // disable incremental prepared-cache maintenance
 }
 
@@ -188,35 +186,6 @@ func WithGraph(g *Graph) Option {
 func WithWALThreshold(bytes int64) Option {
 	return func(c *config) { c.walThreshold = bytes }
 }
-
-// WithParallelism sets the worker count for RDFS closure saturation —
-// the engine behind Eval's matching-universe preparation, Entails,
-// Closure, NormalForm, Fingerprint and Infers. The answer never
-// depends on n; only wall-clock time does. n ≤ 0 selects one worker
-// per available core — resolved via runtime.GOMAXPROCS(0) at each use,
-// not when the option is built, so the per-core default tracks later
-// GOMAXPROCS changes in the process that actually evaluates. n == 1
-// (the default) stays on the sequential engine.
-//
-// Guidance on choosing n: saturation parallelizes the rule-firing
-// joins, so it pays off on schema-heavy databases whose closures are
-// large (many subclass/subproperty edges, deep hierarchies) — there,
-// n = number of cores is the right setting, and WithParallelism(0)
-// says exactly that. Small databases, or workloads dominated by the
-// coNP-hard core retraction rather than the closure, see no benefit;
-// the engine routes saturations of small graphs to the sequential
-// path regardless of n, so over-setting it is safe but pointless.
-// More workers than cores only adds scheduling overhead.
-func WithParallelism(n int) Option {
-	if n <= 0 {
-		n = parallelismPerCore
-	}
-	return func(c *config) { c.parallelism = n }
-}
-
-// parallelismPerCore is the config sentinel for WithParallelism(0):
-// "one worker per core", resolved against the runtime at use time.
-const parallelismPerCore = -1
 
 // WithoutIncrementalPrepare disables delta maintenance of the cached
 // matching universe: every mutation invalidates the prepared state, so
@@ -466,6 +435,14 @@ func groundBatch(d *dict.Dict, ts []dict.Triple3) bool {
 // computed from scratch. prepMu serializes all of this, so concurrent
 // first queries after a mutation wait for one maintenance pass instead
 // of racing duplicate saturations.
+//
+// A g that is no longer current once prepMu is held is replaced by the
+// current snapshot: the write that superseded it was published during
+// this call, so answering from the newer state is still linearizable,
+// and it keeps the query on the delta path with a cacheable result
+// rather than a full preparation of a snapshot no one will ask for
+// again.
+//
 // The returned path names which branch resolved the request (the
 // prepPath* constants) and labels semweb_query_seconds.
 func (db *DB) preparedData(ctx context.Context, g *graph.Graph, skipNF bool) (*preparedState, string, error) {
@@ -474,10 +451,11 @@ func (db *DB) preparedData(ctx context.Context, g *graph.Graph, skipNF bool) (*p
 	}
 	db.prepMu.Lock()
 	defer db.prepMu.Unlock()
+	g = db.snapshot()
 	if st := db.preparedHit(g, skipNF); st != nil {
 		return st, prepPathCached, nil // filled while waiting for prepMu
 	}
-	st, err := db.deltaPrepare(ctx, g, skipNF)
+	st, err := db.deltaPrepare(ctx, skipNF)
 	if st != nil || err != nil {
 		return st, prepPathDelta, err
 	}
@@ -498,16 +476,16 @@ func (db *DB) preparedHit(g *graph.Graph, skipNF bool) *preparedState {
 }
 
 // deltaPrepare folds the pending insert queue into the cached prepared
-// universes by semi-naive delta saturation when g is the current
-// snapshot and a cache with pending inserts exists. It returns
-// (nil, nil) when ineligible — or when the requested flag has no
-// cached state yet — and the caller then falls back to fullPrepare;
+// universes by semi-naive delta saturation, extending them to the
+// current snapshot, when a cache with pending inserts exists. It
+// returns (nil, nil) when ineligible — or when the requested flag has
+// no cached state yet — and the caller then falls back to fullPrepare;
 // an extension already published for the other flag is kept either
 // way. Caller holds prepMu.
-func (db *DB) deltaPrepare(ctx context.Context, g *graph.Graph, skipNF bool) (*preparedState, error) {
+func (db *DB) deltaPrepare(ctx context.Context, skipNF bool) (*preparedState, error) {
 	db.mu.RLock()
-	base, states := db.preparedFor, db.prepared
-	eligible := states != nil && db.g == g && len(db.pending) > 0
+	base, states, g := db.preparedFor, db.prepared, db.g
+	eligible := states != nil && len(db.pending) > 0
 	var batch []dict.Triple3
 	var from *dict.Dict
 	if eligible {
@@ -603,7 +581,7 @@ func extendPrepared(ctx context.Context, st *preparedState, from *dict.Dict, bat
 // flag of a cache already covering g, or as a fresh cache when g is
 // the current snapshot. Caller holds prepMu.
 func (db *DB) fullPrepare(ctx context.Context, g *graph.Graph, skipNF bool) (*preparedState, error) {
-	data, err := query.PrepareWorkers(ctx, scratchView(g), skipNF, db.parallelism())
+	data, err := query.Prepare(ctx, scratchView(g), skipNF)
 	if err != nil {
 		return nil, err
 	}
@@ -622,22 +600,6 @@ func (db *DB) fullPrepare(ctx context.Context, g *graph.Graph, skipNF bool) (*pr
 	}
 	db.mu.Unlock()
 	return st, nil
-}
-
-// parallelism resolves the configured closure saturation worker count
-// (≥ 1; the zero config value means sequential). The per-core sentinel
-// of WithParallelism(0) resolves here — at evaluation time — so the
-// default follows the runtime's current GOMAXPROCS, not the value it
-// happened to have when the option was constructed.
-func (db *DB) parallelism() int {
-	n := db.cfg.parallelism
-	if n == parallelismPerCore {
-		return runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		return 1
-	}
-	return n
 }
 
 // scratchView returns the given snapshot behind a fresh scratch-overlay
@@ -1046,7 +1008,7 @@ func (db *DB) Infers(t Triple) bool {
 		// Built over a scratch overlay: the fallback path materializes
 		// the closure, whose derived terms must not grow the shared
 		// dictionary. The overlay lives as long as the cached index.
-		mem = closure.NewMembershipWorkers(scratchView(g), db.parallelism())
+		mem = closure.NewMembership(scratchView(g))
 		db.mu.Lock()
 		if db.g == g { // only cache if no mutation slipped in
 			db.mem = mem
@@ -1060,6 +1022,11 @@ func (db *DB) Infers(t Triple) bool {
 // matched against nf(D + P) — or cl(D + P) under WithoutNormalForm —
 // and the single answers are assembled under the query's semantics
 // (Union unless overridden by Query.Under or WithDefaultSemantics).
+//
+// A premise-free query may be answered from a snapshot newer than the
+// one current when Eval was called, if a concurrent write is published
+// before the matching universe is resolved: that write overlapped the
+// call, so the answer is still linearizable.
 //
 // Eval honors ctx throughout: the closure saturation, the normal-form
 // retraction searches and the body-matching loop all poll ctx, so a
@@ -1080,7 +1047,6 @@ func (db *DB) Eval(ctx context.Context, q *Query) (*Answer, error) {
 		Semantics:      db.cfg.semantics,
 		SkipNormalForm: db.cfg.skipNormalForm,
 		MaxMatchings:   q.maxMatchings,
-		Parallelism:    db.parallelism(),
 	}
 	if q.semanticsSet {
 		opts.Semantics = q.semantics
@@ -1124,10 +1090,10 @@ func (db *DB) Eval(ctx context.Context, q *Query) (*Answer, error) {
 }
 
 // Entails reports D ⊨ h. The closure saturation behind the decision
-// honors WithParallelism and runs over a scratch overlay, leaving the
-// database dictionary unchanged.
+// runs over a scratch overlay, leaving the database dictionary
+// unchanged.
 func (db *DB) Entails(ctx context.Context, h *Graph) (bool, error) {
-	ok, err := entail.EntailsWorkers(ctx, scratchView(db.snapshot()), h, db.parallelism())
+	ok, err := entail.EntailsCtx(ctx, scratchView(db.snapshot()), h)
 	return ok, wrapEngineError(err)
 }
 
@@ -1136,17 +1102,17 @@ func (db *DB) Prove(h *Graph) (*Proof, bool) {
 	return Prove(scratchView(db.snapshot()), h)
 }
 
-// Equivalent reports D ≡ h (both saturations honor WithParallelism).
+// Equivalent reports D ≡ h.
 func (db *DB) Equivalent(ctx context.Context, h *Graph) (bool, error) {
-	ok, err := entail.EquivalentWorkers(ctx, scratchView(db.snapshot()), h, db.parallelism())
+	ok, err := entail.EquivalentCtx(ctx, scratchView(db.snapshot()), h)
 	return ok, wrapEngineError(err)
 }
 
-// Closure returns cl(D). The saturation honors WithParallelism. The
-// result's dictionary is a scratch overlay over the database's, so
-// materializing the closure does not grow the shared dictionary.
+// Closure returns cl(D). The result's dictionary is a scratch overlay
+// over the database's, so materializing the closure does not grow the
+// shared dictionary.
 func (db *DB) Closure(ctx context.Context) (*Graph, error) {
-	cl, err := closure.ClWorkers(ctx, scratchView(db.snapshot()), db.parallelism())
+	cl, err := closure.ClCtx(ctx, scratchView(db.snapshot()))
 	return cl, wrapEngineError(err)
 }
 
@@ -1155,11 +1121,10 @@ func (db *DB) Core(ctx context.Context) (*Graph, error) {
 	return CoreOf(ctx, db.snapshot())
 }
 
-// NormalForm returns nf(D) = core(cl(D)). The closure saturation
-// honors WithParallelism; the core retraction is sequential. Like
-// Closure, the result lives on a scratch overlay.
+// NormalForm returns nf(D) = core(cl(D)). Like Closure, the result
+// lives on a scratch overlay.
 func (db *DB) NormalForm(ctx context.Context) (*Graph, error) {
-	nf, err := core.NormalFormWorkers(ctx, scratchView(db.snapshot()), db.parallelism())
+	nf, err := core.NormalFormCtx(ctx, scratchView(db.snapshot()))
 	return nf, wrapEngineError(err)
 }
 
@@ -1175,10 +1140,9 @@ func (db *DB) MinimalRepresentation() (*Graph, error) {
 // interned into the shared dictionary.
 func (db *DB) Canonical() *Graph { return Canonicalize(scratchView(db.snapshot())) }
 
-// Fingerprint returns the equivalence certificate of D. The closure
-// saturation inside nf(D) honors WithParallelism.
+// Fingerprint returns the equivalence certificate of D.
 func (db *DB) Fingerprint(ctx context.Context) (string, error) {
-	fp, err := core.FingerprintWorkers(ctx, scratchView(db.snapshot()), db.parallelism())
+	fp, err := core.FingerprintCtx(ctx, scratchView(db.snapshot()))
 	return fp, wrapEngineError(err)
 }
 

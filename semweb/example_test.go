@@ -197,12 +197,10 @@ func ExampleDB_LoadFiles() {
 	// loaded 2 triples
 }
 
-// ExampleWithParallelism opens a database whose closure saturations
-// (Eval preparation, Closure, Entails, Infers, …) run on one worker
-// per core. The answers are identical to the sequential engine's —
-// only the wall-clock time changes.
-func ExampleWithParallelism() {
-	db, _ := semweb.Open(semweb.WithParallelism(0)) // 0 = one worker per core
+// ExampleDB_Infers decides membership in cl(D) for a triple the
+// database only implies.
+func ExampleDB_Infers() {
+	db, _ := semweb.Open()
 	for i := 0; i < 300; i++ {
 		_ = db.Add(semweb.T(
 			semweb.IRI(fmt.Sprintf("urn:ex:c%d", i)), semweb.SubClassOf,

@@ -1,12 +1,8 @@
-// White-box tests for builder/option internals that public API alone
-// cannot pin down: the compile-time pattern snapshot and the use-time
-// resolution of the per-core parallelism default.
+// White-box tests for builder internals that public API alone cannot
+// pin down: the compile-time pattern snapshot.
 package semweb
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // TestCompileSnapshotsBuilderSlices is the regression test for the
 // builder slice-aliasing bug: Head/Body grow slices with append, so two
@@ -76,42 +72,5 @@ func TestHeadSnapshotToo(t *testing.T) {
 	a.Head(T(X, IRI("urn:hA"), o))
 	if iq.Head[3] != before {
 		t.Fatalf("compiled head[3] changed from %v to %v", before, iq.Head[3])
-	}
-}
-
-// TestParallelismResolvedAtUseTime: WithParallelism(0) means "one
-// worker per core" measured when evaluation runs, not when the option
-// was constructed.
-func TestParallelismResolvedAtUseTime(t *testing.T) {
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-
-	runtime.GOMAXPROCS(2)
-	db, err := Open(WithParallelism(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := db.parallelism(); got != 2 {
-		t.Fatalf("parallelism() = %d under GOMAXPROCS(2)", got)
-	}
-	runtime.GOMAXPROCS(5)
-	if got := db.parallelism(); got != 5 {
-		t.Fatalf("parallelism() = %d under GOMAXPROCS(5); option captured construction-time value", got)
-	}
-
-	// Explicit counts and the default are unaffected.
-	db3, err := Open(WithParallelism(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := db3.parallelism(); got != 3 {
-		t.Fatalf("explicit parallelism = %d, want 3", got)
-	}
-	dbDefault, err := Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dbDefault.parallelism(); got != 1 {
-		t.Fatalf("default parallelism = %d, want 1", got)
 	}
 }

@@ -83,6 +83,9 @@ type Rows struct {
 // cap is honored — a stream cut off by it reports Truncated once
 // exhausted — and ctx cancellation aborts the solver mid-enumeration.
 //
+// Like Eval, a premise-free stream may be answered from a snapshot
+// published by a write that overlapped the call.
+//
 // Validation errors surface here, before any row is produced; errors
 // during enumeration (cancellation included) surface on Rows.Err after
 // Next returns false. Always Close the returned cursor.
@@ -98,7 +101,6 @@ func (db *DB) Stream(ctx context.Context, q *Query) (*Rows, error) {
 		Semantics:      db.cfg.semantics,
 		SkipNormalForm: db.cfg.skipNormalForm,
 		MaxMatchings:   q.maxMatchings,
-		Parallelism:    db.parallelism(),
 	}
 	if q.semanticsSet {
 		opts.Semantics = q.semantics
