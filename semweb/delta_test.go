@@ -84,117 +84,71 @@ func evalBothFlags(t *testing.T, db *DB) (nf, cl *Answer) {
 // prepared universes — maintained only by semi-naive delta passes
 // after the first preparation — are triple-set equal AND
 // Fingerprint-equal to a from-scratch query.Prepare over the same
-// snapshot, for three seeds.
+// snapshot. The subtests keep the names of the closure worker counts
+// they once ran at; with one saturation engine, N only picks the
+// seed 7N+1.
 func TestDeltaPreparedMatchesFromScratch(t *testing.T) {
-	for _, seed := range []int64{8, 15, 57} {
-		rng := rand.New(rand.NewSource(seed))
-		v := deltaVocab{rng}
-		db, err := Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { db.Close() })
-		if err := db.Add(v.triples(250)...); err != nil {
-			t.Fatal(err)
-		}
-		evalBothFlags(t, db)
-
-		ctx := context.Background()
-		for round := 0; round < 6; round++ {
-			// A few separate Adds accumulate in the pending queue and
-			// are folded by one maintenance pass at next Eval.
-			for b := 0; b < 1+rng.Intn(3); b++ {
-				if err := db.Add(v.triples(1 + rng.Intn(15))...); err != nil {
-					t.Fatal(err)
-				}
+	for _, nw := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", nw), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7*int64(nw) + 1))
+			v := deltaVocab{rng}
+			db, err := Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if err := db.Add(v.triples(250)...); err != nil {
+				t.Fatal(err)
 			}
 			evalBothFlags(t, db)
 
-			snap := db.snapshot()
-			for _, skipNF := range []bool{false, true} {
-				st := db.preparedHit(snap, skipNF)
-				if st == nil {
-					t.Fatalf("seed %d round %d skipNF=%v: no cached prepared state after eval", seed, round, skipNF)
+			ctx := context.Background()
+			for round := 0; round < 6; round++ {
+				// A few separate Adds accumulate in the pending queue
+				// and are folded by one maintenance pass at next Eval.
+				for b := 0; b < 1+rng.Intn(3); b++ {
+					if err := db.Add(v.triples(1 + rng.Intn(15))...); err != nil {
+						t.Fatal(err)
+					}
 				}
-				want, err := query.Prepare(ctx, scratchView(snap), skipNF)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !st.data.Equal(want) {
-					t.Fatalf("seed %d round %d skipNF=%v: delta-maintained universe (%d) != from-scratch (%d)",
-						seed, round, skipNF, st.data.Len(), want.Len())
-				}
-				fpGot, err := core.FingerprintCtx(ctx, st.data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fpWant, err := core.FingerprintCtx(ctx, want)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fpGot != fpWant {
-					t.Fatalf("seed %d round %d skipNF=%v: fingerprint %s != from-scratch %s",
-						seed, round, skipNF, fpGot, fpWant)
+				evalBothFlags(t, db)
+
+				snap := db.snapshot()
+				for _, skipNF := range []bool{false, true} {
+					st := db.preparedHit(snap, skipNF)
+					if st == nil {
+						t.Fatalf("round %d skipNF=%v: no cached prepared state after eval", round, skipNF)
+					}
+					want, err := query.Prepare(ctx, scratchView(snap), skipNF)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !st.data.Equal(want) {
+						t.Fatalf("round %d skipNF=%v: delta-maintained universe (%d) != from-scratch (%d)",
+							round, skipNF, st.data.Len(), want.Len())
+					}
+					fpGot, err := core.FingerprintCtx(ctx, st.data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fpWant, err := core.FingerprintCtx(ctx, want)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fpGot != fpWant {
+						t.Fatalf("round %d skipNF=%v: fingerprint %s != from-scratch %s",
+							round, skipNF, fpGot, fpWant)
+					}
 				}
 			}
-		}
-		st := db.Stats()
-		if st.PreparedFull != 2 {
-			t.Fatalf("seed %d: PreparedFull = %d, want exactly 2 (one per flag); deltas did not stick", seed, st.PreparedFull)
-		}
-		if st.PreparedDelta < 6 {
-			t.Fatalf("seed %d: PreparedDelta = %d, want ≥ 6", seed, st.PreparedDelta)
-		}
-	}
-}
-
-// TestDeltaStaleSnapshot: a query whose snapshot is superseded by
-// another write before it takes prepMu resolves against the current
-// snapshot by delta maintenance — it neither fully prepares the stale
-// snapshot nor leaves the cache behind it.
-func TestDeltaStaleSnapshot(t *testing.T) {
-	ctx := context.Background()
-	db, err := Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.Add(deltaVocab{rand.New(rand.NewSource(41))}.triples(150)...); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Eval(ctx, typeQuery()); err != nil { // warm the nf cache
-		t.Fatal(err)
-	}
-	if err := db.Add(T(IRI("urn:d:a"), Type, IRI("urn:d:c1"))); err != nil {
-		t.Fatal(err)
-	}
-	g1 := db.snapshot()
-	if err := db.Add(T(IRI("urn:d:b"), Type, IRI("urn:d:c2"))); err != nil {
-		t.Fatal(err)
-	}
-	full := db.prepStats.full.Load()
-
-	st, path, err := db.preparedData(ctx, g1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if path != prepPathDelta {
-		t.Fatalf("stale snapshot resolved by the %q path, want %q", path, prepPathDelta)
-	}
-	if got := db.prepStats.full.Load(); got != full {
-		t.Fatalf("full preparations went from %d to %d", full, got)
-	}
-	cur := db.snapshot()
-	if db.preparedHit(cur, false) != st {
-		t.Fatal("the returned universe is not the one cached for the current snapshot")
-	}
-	want, err := query.Prepare(ctx, scratchView(cur), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.data.Equal(want) {
-		t.Fatalf("universe (%d) != from-scratch preparation of the current snapshot (%d)",
-			st.data.Len(), want.Len())
+			st := db.Stats()
+			if st.PreparedFull != 2 {
+				t.Fatalf("PreparedFull = %d, want exactly 2 (one per flag); deltas did not stick", st.PreparedFull)
+			}
+			if st.PreparedDelta < 6 {
+				t.Fatalf("PreparedDelta = %d, want ≥ 6", st.PreparedDelta)
+			}
+		})
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 
 // schemaFixture builds a schema-heavy database: a subclass chain with
 // typed members plus a property hierarchy with domain/range typing.
-func schemaFixture(t *testing.T) *semweb.DB {
+func schemaFixture(t *testing.T, opts ...semweb.Option) *semweb.DB {
 	t.Helper()
-	db, err := semweb.Open()
+	db, err := semweb.Open(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,17 +43,26 @@ func schemaFixture(t *testing.T) *semweb.DB {
 	return db
 }
 
-// TestSchemaChainAnswers checks the facade operations that saturate
-// the closure — Closure, Entails, Infers, Eval and Fingerprint —
-// against answers fixed by the RDFS rules, and that a cancelled
-// context aborts them.
-func TestSchemaChainAnswers(t *testing.T) {
+// TestWithParallelismSameAnswers checks the facade operations that
+// saturate the closure — Closure, Entails, Infers, Eval and
+// Fingerprint — against answers fixed by the RDFS rules, on a default
+// database and on one opened WithoutNormalForm. The name is kept from
+// when it compared closure worker counts; there is one engine now.
+func TestWithParallelismSameAnswers(t *testing.T) {
 	ctx := context.Background()
 	db := schemaFixture(t)
+	noNF := schemaFixture(t, semweb.WithoutNormalForm())
 
 	cl, err := db.Closure(ctx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	clNoNF, err := noNF.Closure(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cl.Equal(clNoNF) {
+		t.Fatalf("Closure depends on the normal-form option: %d vs %d triples", cl.Len(), clNoNF.Len())
 	}
 	if !db.Graph().SubgraphOf(cl) {
 		t.Fatal("Closure does not contain the database")
@@ -71,14 +80,16 @@ func TestSchemaChainAnswers(t *testing.T) {
 	}
 
 	h := semweb.NewGraph(semweb.T(semweb.IRI("urn:t:m0"), semweb.Type, semweb.IRI("urn:t:c100")))
-	if ok, err := db.Entails(ctx, h); err != nil || !ok {
-		t.Fatalf("Entails(m0 type c100) = %v, %v; want true", ok, err)
-	}
-	if !db.Infers(semweb.T(semweb.IRI("urn:t:m5"), semweb.Type, semweb.IRI("urn:t:c80"))) {
-		t.Fatal("Infers misses a subclass-lifted typing")
-	}
-	if db.Infers(semweb.T(semweb.IRI("urn:t:m80"), semweb.Type, semweb.IRI("urn:t:c5"))) {
-		t.Fatal("Infers lifts a typing down the subclass chain")
+	for _, d := range []*semweb.DB{db, noNF} {
+		if ok, err := d.Entails(ctx, h); err != nil || !ok {
+			t.Fatalf("Entails(m0 type c100) = %v, %v; want true", ok, err)
+		}
+		if !d.Infers(semweb.T(semweb.IRI("urn:t:m5"), semweb.Type, semweb.IRI("urn:t:c80"))) {
+			t.Fatal("Infers misses a subclass-lifted typing")
+		}
+		if d.Infers(semweb.T(semweb.IRI("urn:t:m80"), semweb.Type, semweb.IRI("urn:t:c5"))) {
+			t.Fatal("Infers lifts a typing down the subclass chain")
+		}
 	}
 
 	// Members m0..m115 are typed c0..c115, each lifted up to c115.
@@ -106,8 +117,13 @@ func TestSchemaChainAnswers(t *testing.T) {
 	if fpDB != fpCl {
 		t.Fatal("Fingerprint(D) differs from Fingerprint(cl(D))")
 	}
+}
 
-	dead, cancel := context.WithCancel(ctx)
+// TestWithParallelismCancellation: a cancelled context aborts the
+// saturating operations with ErrCancelled. The name is kept from when
+// it exercised the parallel engine.
+func TestWithParallelismCancellation(t *testing.T) {
+	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := schemaFixture(t).Closure(dead); !errors.Is(err, semweb.ErrCancelled) {
 		t.Fatalf("cancelled Closure: err = %v, want ErrCancelled", err)
