@@ -5,7 +5,7 @@ GO ?= go
 # Benchmark settings for the JSON perf snapshot. 0.2s per benchmark
 # keeps a full run around a minute while staying reasonably stable.
 BENCHTIME ?= 0.2s
-BENCH_JSON ?= BENCH_pr12.json
+BENCH_JSON ?= BENCH_pr15.json
 # The newest committed per-PR snapshot is the regression baseline.
 BENCH_BASELINE ?= $(shell ls BENCH_pr*.json 2>/dev/null | sort -V | tail -1)
 

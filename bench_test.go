@@ -186,6 +186,29 @@ func BenchmarkCore(b *testing.B) {
 			}
 		})
 	}
+	// The lean-core step of nf(D) on closures with blank individuals
+	// (gen.Individuals). blank1 is the 357-triple base with one
+	// redundant individual (|cl| = 4,367, 43 non-ground). lean3 holds
+	// three individuals nothing absorbs (|cl| = 1,739, 135 non-ground),
+	// small enough that a search of all of cl(D) into cl(D)∖{t} per
+	// non-ground t finishes in tens of seconds; lean3-base300 puts them
+	// on the 357-triple base.
+	for _, c := range []struct {
+		name              string
+		nodes, edges, ind int
+		redundant         bool
+	}{
+		{"blank1", 60, 300, 1, true},
+		{"lean3", 8, 24, 3, false},
+		{"lean3-base300", 60, 300, 3, false},
+	} {
+		cl := closure.Cl(gen.Individuals(c.nodes, c.edges, c.ind, c.redundant, 5))
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				core.CoreGraph(cl)
+			}
+		})
+	}
 }
 
 func BenchmarkLean(b *testing.B) {
@@ -216,6 +239,18 @@ func BenchmarkNormalForm(b *testing.B) {
 			}
 		}
 	})
+	// One redundant blank individual over a base of n-1 triples: nf(D)
+	// is closure plus the lean-core step, read at two sizes for the
+	// slope in |D|.
+	for _, n := range []int{357, 2057} {
+		edges := n - gen.SchemaTriples - 1
+		g := gen.Individuals(edges/5, edges, 1, true, 5)
+		b.Run(fmt.Sprintf("blank1/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				core.NormalForm(g)
+			}
+		})
+	}
 }
 
 // --- E11: deduction vs model theory (Theorem 2.6) ---
@@ -455,12 +490,15 @@ var openBench struct {
 	n      int
 }
 
-// TestMain exists to clean up the openBench scratch directory after
-// benchmark runs (sync.Once has no paired teardown).
+// TestMain exists to clean up the openBench scratch directory and the
+// command-line binaries cli_test.go builds (sync.Once has no paired
+// teardown).
 func TestMain(m *testing.M) {
 	code := m.Run()
-	if openBench.root != "" {
-		os.RemoveAll(openBench.root)
+	for _, dir := range []string{openBench.root, binDir} {
+		if dir != "" {
+			os.RemoveAll(dir)
+		}
 	}
 	os.Exit(code)
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -12,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"semwebdb/internal/proctest"
 )
 
 // buildTools compiles the command-line binaries once per test run.
@@ -323,14 +326,11 @@ func TestRdfcheckStatsJSON(t *testing.T) {
 	}
 }
 
-// TestRdfqueryRemote drives the rdfquery client mode against a real
-// semwebd: rows arrive on stdout as NDJSON, -stats summarizes the
-// trailer instead.
-func TestRdfqueryRemote(t *testing.T) {
-	root := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(root, "art"), 0o755); err != nil {
-		t.Fatal(err)
-	}
+// serve starts semwebd on root and returns its listen address. The
+// server is stopped from t.Cleanup (SIGINT, a bounded wait, then Kill
+// and Wait), so no path out of the test leaves it running.
+func serve(t *testing.T, root string) string {
+	t.Helper()
 	srv := exec.Command(filepath.Join(tools(t), "semwebd"), "-addr", "127.0.0.1:0", "-root", root, "-quiet")
 	stdout, err := srv.StdoutPipe()
 	if err != nil {
@@ -339,10 +339,7 @@ func TestRdfqueryRemote(t *testing.T) {
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		srv.Process.Signal(os.Interrupt)
-		srv.Wait()
-	}()
+	proctest.Stopper(t, srv)
 	sc := bufio.NewScanner(stdout)
 	if !sc.Scan() {
 		t.Fatalf("no semwebd startup line: %v", sc.Err())
@@ -353,7 +350,19 @@ func TestRdfqueryRemote(t *testing.T) {
 	if i < 0 {
 		t.Fatalf("unexpected startup line %q", line)
 	}
-	addr := strings.TrimSpace(line[i+len(marker):])
+	go io.Copy(io.Discard, stdout)
+	return strings.TrimSpace(line[i+len(marker):])
+}
+
+// TestRdfqueryRemote drives the rdfquery client mode against a real
+// semwebd: rows arrive on stdout as NDJSON, -stats summarizes the
+// trailer instead.
+func TestRdfqueryRemote(t *testing.T) {
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, "art"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	addr := serve(t, root)
 
 	ttl, err := os.ReadFile("testdata/art.ttl")
 	if err != nil {
@@ -460,29 +469,7 @@ func TestRdfcheckReplStatus(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(root, "art"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	srv := exec.Command(filepath.Join(tools(t), "semwebd"), "-addr", "127.0.0.1:0", "-root", root, "-quiet")
-	stdout, err := srv.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		srv.Process.Signal(os.Interrupt)
-		srv.Wait()
-	}()
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		t.Fatalf("no semwebd startup line: %v", sc.Err())
-	}
-	const marker = "listening on "
-	line := sc.Text()
-	i := strings.Index(line, marker)
-	if i < 0 {
-		t.Fatalf("unexpected startup line %q", line)
-	}
-	addr := strings.TrimSpace(line[i+len(marker):])
+	addr := serve(t, root)
 
 	resp, err := http.Post("http://"+addr+"/v1/art/load", "application/n-triples",
 		strings.NewReader("<urn:s> <urn:p> <urn:o> .\n"))

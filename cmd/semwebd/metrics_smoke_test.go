@@ -8,11 +8,10 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
 
 	"semwebdb/internal/obs"
+	"semwebdb/internal/proctest"
 )
 
 // TestMetricsSmoke is the end-to-end observability smoke test the
@@ -47,7 +46,7 @@ func TestMetricsSmoke(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill()
+	stop := proctest.Stopper(t, cmd)
 
 	var logBuf strings.Builder
 	logDone := make(chan struct{})
@@ -140,18 +139,8 @@ func TestMetricsSmoke(t *testing.T) {
 
 	// Clean shutdown, then check the captured JSON log: one structured
 	// request line per request and the slow-query warning with phases.
-	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("semwebd exited uncleanly: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("semwebd did not exit after SIGINT")
+	if err := stop(); err != nil {
+		t.Fatalf("semwebd exited uncleanly: %v", err)
 	}
 	<-logDone
 	log := logBuf.String()

@@ -10,14 +10,17 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
+
+	"semwebdb/internal/proctest"
 )
 
 // startSemwebd launches the built binary with args, parses the
 // "listening on" announcement, and returns the base URL plus a stopper
-// that SIGINTs the process and requires a clean exit.
+// that SIGINTs the process and requires a clean exit. The same stop
+// runs from t.Cleanup (SIGINT, a bounded wait, then Kill and Wait) on
+// every other path out of the test.
 func startSemwebd(t *testing.T, bin string, args ...string) (base string, stop func()) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
@@ -29,7 +32,7 @@ func startSemwebd(t *testing.T, bin string, args ...string) (base string, stop f
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cmd.Process.Kill() })
+	stopProc := proctest.Stopper(t, cmd)
 
 	sc := bufio.NewScanner(stdout)
 	if !sc.Scan() {
@@ -43,24 +46,9 @@ func startSemwebd(t *testing.T, bin string, args ...string) (base string, stop f
 	}
 	go io.Copy(io.Discard, stdout)
 
-	stopped := false
 	return "http://" + strings.TrimSpace(line[i+len(marker):]), func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- cmd.Wait() }()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("semwebd %v exited uncleanly: %v", args, err)
-			}
-		case <-time.After(15 * time.Second):
-			t.Fatalf("semwebd %v did not exit after SIGINT", args)
+		if err := stopProc(); err != nil {
+			t.Fatalf("semwebd %v exited uncleanly: %v", args, err)
 		}
 	}
 }

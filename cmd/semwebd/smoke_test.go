@@ -9,9 +9,9 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
-	"time"
+
+	"semwebdb/internal/proctest"
 )
 
 // TestServeSmoke is the end-to-end smoke test the `make serve-smoke`
@@ -42,7 +42,7 @@ func TestServeSmoke(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill()
+	stop := proctest.Stopper(t, cmd)
 
 	// The first stdout line announces the resolved listen address.
 	sc := bufio.NewScanner(stdout)
@@ -136,18 +136,8 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	// SIGINT must drain and exit 0.
-	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("semwebd exited uncleanly: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("semwebd did not exit after SIGINT")
+	if err := stop(); err != nil {
+		t.Fatalf("semwebd exited uncleanly: %v", err)
 	}
 
 	// The directory must reopen cleanly after shutdown (the flock was
@@ -160,7 +150,7 @@ func TestServeSmoke(t *testing.T) {
 	if err := restart.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer restart.Process.Kill()
+	stopRestart := proctest.Stopper(t, restart)
 	sc2 := bufio.NewScanner(out2)
 	if !sc2.Scan() || !strings.Contains(sc2.Text(), marker) {
 		t.Fatalf("restart failed: %q %v", sc2.Text(), sc2.Err())
@@ -175,6 +165,7 @@ func TestServeSmoke(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || strings.Contains(string(body), `"triples":0`) {
 		t.Fatalf("restarted stats: %d %s", resp.StatusCode, body)
 	}
-	restart.Process.Signal(syscall.SIGINT)
-	restart.Wait()
+	if err := stopRestart(); err != nil {
+		t.Fatalf("restarted semwebd exited uncleanly: %v", err)
+	}
 }

@@ -3,6 +3,16 @@
 // 3.7), the core of an RDF graph (Theorem 3.10), the normal form
 // nf(G) = core(cl(G)) (Definition 3.18), and the unique minimal
 // representation for the restricted graph class of Theorem 3.16.
+//
+// Cost model of the lean-core step. Deciding leanness is coNP-complete
+// (Theorem 3.12), but the hardness lies in the blank nodes only. Ground
+// triples are fixed points of every map: the retraction searches treat
+// them as constant data, never as search patterns, and search one
+// blank-connected component of the non-ground triples at a time, all
+// against one index of the graph. nf(D) therefore costs the closure
+// plus a search over the blank part of cl(D); for a ground D it costs
+// the closure alone (no copy: NormalForm returns the closure itself
+// when nothing can be retracted).
 package core
 
 import (
@@ -11,8 +21,10 @@ import (
 
 	"semwebdb/internal/canon"
 	"semwebdb/internal/closure"
+	"semwebdb/internal/dict"
 	"semwebdb/internal/graph"
 	"semwebdb/internal/hom"
+	"semwebdb/internal/match"
 	"semwebdb/internal/rdfs"
 	"semwebdb/internal/reduction"
 	"semwebdb/internal/term"
@@ -27,7 +39,8 @@ import (
 // G∖{t}; conversely any such map has a proper image. Ground triples are
 // fixed points of every map, so only non-ground t need be tried.) The
 // problem is coNP-complete (Theorem 3.12), so exponential behaviour on
-// adversarial inputs is expected.
+// adversarial inputs is expected — but only in the blank part of G: see
+// retract for the cost model.
 func IsLean(g *graph.Graph) bool {
 	lean, _ := IsLeanCtx(context.Background(), g)
 	return lean
@@ -36,35 +49,215 @@ func IsLean(g *graph.Graph) bool {
 // IsLeanCtx is IsLean under a context: the underlying map searches poll
 // ctx and abort with its error when it is cancelled.
 func IsLeanCtx(ctx context.Context, g *graph.Graph) (bool, error) {
-	_, proper, err := findProperRetraction(ctx, g)
+	_, removed, err := retract(ctx, g, true)
 	if err != nil {
 		return false, err
 	}
-	return !proper, nil
+	return len(removed) == 0, nil
 }
 
-// findProperRetraction returns a map μ with μ(G) ⊊ G, if one exists.
-func findProperRetraction(ctx context.Context, g *graph.Graph) (graph.Map, bool, error) {
-	for _, t := range g.NonGroundTriples() {
-		mu, ok, err := hom.FindMapCtx(ctx, g, g.Without(t))
+// component is one blank-connected component of non-ground triples
+// (blanks are connected when they share a triple), in canonical triple
+// order, decoded and encoded.
+type component struct {
+	triples []graph.Triple
+	enc     []dict.Triple3
+}
+
+// retract computes core(G) as the set of triples to remove: it returns
+// the composed retraction μ (on IDs) and the triples of G outside μ(G).
+// When first is set it stops at the first proper retraction (a
+// leanness test).
+//
+// Cost model: the work follows the blank part of G, not |G|.
+//
+//   - Ground triples are fixed points of every map, so they are never
+//     search patterns; they only serve as the data blanks map into.
+//   - The non-ground triples split into blank-connected components, and
+//     each search moves one component's blanks with every other term
+//     fixed (findProperRetraction). A component shown to have no proper
+//     retraction stays so while G shrinks; a retracted component only
+//     loses triples, and what survives may split. So a worklist of
+//     components, each searched until it is lean, reaches the core.
+//   - Every search runs on one index of G, through a view that hides
+//     the triples removed so far (match.Index.Hiding) and the candidate
+//     t (match.Index.Without): no copy of G and no re-sort, per
+//     candidate t or per retraction.
+//
+// The whole step costs one index of G plus the backtracking searches
+// over the components — exponential in a component at worst (Theorem
+// 3.12), never quadratic in the ground triples.
+func retract(ctx context.Context, g *graph.Graph, first bool) (map[dict.ID]dict.ID, map[dict.Triple3]struct{}, error) {
+	ts := g.NonGroundTriples()
+	if len(ts) == 0 {
+		return nil, nil, nil
+	}
+	enc := make([]dict.Triple3, len(ts))
+	for i, t := range ts {
+		enc[i] = g.InternTriple(t)
+	}
+	d := g.Dict()
+	work := blankComponents(d, ts, enc)
+	cur := match.NewIndex(g)
+	total := make(map[dict.ID]dict.ID)
+	var removed map[dict.Triple3]struct{}
+	for len(work) > 0 {
+		c := work[0]
+		work = work[1:]
+		b, ok, err := findProperRetraction(ctx, cur, c)
 		if err != nil {
+			return nil, nil, err
+		}
+		if !ok {
+			continue // lean for good: G only shrinks from here
+		}
+		if removed == nil {
+			// From the first retraction on, the searches see G minus
+			// what was removed.
+			removed = make(map[dict.Triple3]struct{})
+			cur = cur.Hiding(func(t dict.Triple3) bool {
+				_, gone := removed[t]
+				return gone
+			})
+		}
+		// μ(c) ⊆ G∖removed, so μ(G) is G minus c's triples outside μ(c).
+		images := make(map[dict.Triple3]struct{}, len(c.enc))
+		for _, t := range c.enc {
+			images[apply(b, t)] = struct{}{}
+		}
+		var keep component
+		for i, t := range c.enc {
+			if _, ok := images[t]; ok {
+				keep.triples = append(keep.triples, c.triples[i])
+				keep.enc = append(keep.enc, t)
+			} else {
+				removed[t] = struct{}{}
+			}
+		}
+		for k, v := range total { // total := b ∘ total
+			if w, ok := b[v]; ok {
+				total[k] = w
+			}
+		}
+		for k, v := range b {
+			if _, ok := total[k]; !ok {
+				total[k] = v
+			}
+		}
+		if first {
+			break
+		}
+		if len(keep.enc) > 0 {
+			work = append(work, blankComponents(d, keep.triples, keep.enc)...)
+		}
+	}
+	return total, removed, nil
+}
+
+// findProperRetraction returns a map μ that moves only the blanks of
+// component c and sends the graph G that cur indexes to a proper
+// subgraph of itself, if one exists. It searches, for each t ∈ c, a map
+// of c into G∖{t}. That is complete: given μ with μ(G) ⊊ G and
+// t ∉ μ(G), t is non-ground, in some component c, and the map that
+// agrees with μ on c's blanks and is the identity elsewhere keeps G in
+// G and drops t. Ground triples and the other components are in G∖{t}
+// unchanged, so only c's triples are patterns, and one index serves
+// every t through a view that hides t.
+func findProperRetraction(ctx context.Context, cur *match.Index, c component) (match.Binding, bool, error) {
+	for _, t := range c.enc {
+		s := match.NewSolver(cur.Without(t), match.Options{IsUnknown: term.Term.IsBlank, Ctx: ctx})
+		b, ok, _ := s.First(c.triples)
+		if err := s.Err(); err != nil {
 			return nil, false, err
 		}
 		if ok {
-			return mu, true, nil
+			return b, true, nil
 		}
 	}
 	return nil, false, nil
 }
 
+// apply substitutes a binding into an encoded triple.
+func apply(b match.Binding, t dict.Triple3) dict.Triple3 {
+	for i, id := range t {
+		if v, ok := b[id]; ok {
+			t[i] = v
+		}
+	}
+	return t
+}
+
+// blankComponents splits non-ground triples (ts, encoded as enc) into
+// blank-connected components, in order of their first triple.
+func blankComponents(d *dict.Dict, ts []graph.Triple, enc []dict.Triple3) []component {
+	parent := make(map[dict.ID]dict.ID)
+	find := func(x dict.ID) dict.ID {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	roots := make([]dict.ID, len(enc))
+	for i, t := range enc {
+		var root dict.ID
+		for _, id := range t {
+			if d.KindOf(id) != term.KindBlank {
+				continue
+			}
+			if _, seen := parent[id]; !seen {
+				parent[id] = id
+			}
+			if r := find(id); root == dict.Wildcard {
+				root = r
+			} else if r != root {
+				parent[r] = root
+			}
+		}
+		roots[i] = root
+	}
+	// Number the components by first triple, then lay them out back to
+	// back in two shared arrays, each in canonical order.
+	at := make(map[dict.ID]int)
+	comp := make([]int, len(enc))
+	start := []int{0}
+	for i := range enc {
+		r := find(roots[i])
+		j, ok := at[r]
+		if !ok {
+			j = len(start) - 1
+			at[r] = j
+			start = append(start, 0)
+		}
+		comp[i] = j
+		start[j+1]++
+	}
+	for j := 1; j < len(start); j++ {
+		start[j] += start[j-1]
+	}
+	allT := make([]graph.Triple, len(ts))
+	allE := make([]dict.Triple3, len(enc))
+	next := append([]int(nil), start...)
+	for i, j := range comp {
+		allT[next[j]], allE[next[j]] = ts[i], enc[i]
+		next[j]++
+	}
+	out := make([]component, len(start)-1)
+	for j := range out {
+		out[j] = component{triples: allT[start[j]:start[j+1]], enc: allE[start[j]:start[j+1]]}
+	}
+	return out
+}
+
 // Core returns core(G): the unique (up to isomorphism) lean subgraph of G
 // that is an instance of G (Theorem 3.10). The second return value is the
-// composed retraction map μ with μ(G) = core(G).
+// composed retraction map μ with μ(G) = core(G). The result is a fresh
+// graph sharing G's dictionary, never G itself.
 //
-// The algorithm iteratively retracts: while a map μ with μ(G) ⊊ G exists,
-// replace G by μ(G). Each step removes at least one triple, so at most
-// |G| homomorphism searches of searches happen; each search is
-// NP-complete in general (Theorem 3.12 makes this unavoidable).
+// The algorithm retracts while a map μ with μ(G) ⊊ G exists, one
+// blank-connected component at a time; each step removes at least one
+// triple. Each map search is NP-complete in general (Theorem 3.12 makes
+// this unavoidable), but only in the blank part of G (see retract).
 func Core(g *graph.Graph) (*graph.Graph, graph.Map) {
 	c, mu, _ := CoreCtx(context.Background(), g)
 	return c, mu
@@ -73,19 +266,33 @@ func Core(g *graph.Graph) (*graph.Graph, graph.Map) {
 // CoreCtx is Core under a context: each retraction's map search polls
 // ctx and the computation aborts with its error when it is cancelled.
 func CoreCtx(ctx context.Context, g *graph.Graph) (*graph.Graph, graph.Map, error) {
-	cur := g.Clone()
-	total := make(graph.Map)
-	for {
-		mu, proper, err := findProperRetraction(ctx, cur)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !proper {
-			return cur, total, nil
-		}
-		cur = mu.Apply(cur)
-		total = total.Compose(mu)
+	c, mu, err := coreOf(ctx, g)
+	if err != nil {
+		return nil, nil, err
 	}
+	if c == g {
+		c = g.Clone()
+	}
+	return c, mu, nil
+}
+
+// coreOf is Core without the copy: when g is already lean it returns g
+// itself, so callers owning g (NormalFormCtx's private closure) pay
+// nothing for a graph with nothing to retract.
+func coreOf(ctx context.Context, g *graph.Graph) (*graph.Graph, graph.Map, error) {
+	total, removed, err := retract(ctx, g, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	d := g.Dict()
+	mu := make(graph.Map, len(total))
+	for k, v := range total {
+		mu[d.TermOf(k)] = d.TermOf(v)
+	}
+	if len(removed) == 0 {
+		return g, mu, nil
+	}
+	return mu.Apply(g), mu, nil
 }
 
 // CoreGraph is Core without the witness map.
@@ -116,7 +323,8 @@ func NormalFormCtx(ctx context.Context, g *graph.Graph) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	nf, _, err := CoreCtx(ctx, cl)
+	// The closure is private to this call: no copy when it is lean.
+	nf, _, err := coreOf(ctx, cl)
 	return nf, err
 }
 

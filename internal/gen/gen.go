@@ -197,6 +197,85 @@ func ArtSchema(nClasses, nProps, nInd int, seed int64) *graph.Graph {
 	return g
 }
 
+// SchemaTriples is the size of the schema Individuals starts from.
+const SchemaTriples = 56
+
+// Individuals returns an RDFS database with blank-node individuals, the
+// shape of the service benchmark's blank workload. A schema of four
+// data predicates p0..p3, whose domains and ranges point into classes
+// c0..c7, all under one 41-class subClassOf chain c8 ⊑ … ⊑ c48
+// (SchemaTriples triples), so every typed node inherits the chain and
+// cl(D) is about ten times |D|; then edges distinct random data triples
+// among nodes IRIs; then individuals blank nodes.
+//
+// A redundant individual copies one ground edge (x p y) as (_:b p y):
+// the lean-core step maps it onto x, so nf(D) = cl(ground part). A
+// non-redundant individual copies two edges (x1 p1 y1) and (x2 p2 y2)
+// such that no node and no other individual has both, so nf(D) keeps it
+// (with its rdf:type triples) in full.
+func Individuals(nodes, edges, individuals int, redundant bool, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.New()
+	pred := func(k int) term.Term { return iriN("p", k) }
+	class := func(c int) term.Term { return iriN("c", c) }
+	for k := 0; k < 4; k++ {
+		g.Add(graph.T(pred(k), rdfs.Domain, class(k)))
+		g.Add(graph.T(pred(k), rdfs.Range, class(k+4)))
+	}
+	for c := 0; c < 8; c++ {
+		g.Add(graph.T(class(c), rdfs.SubClassOf, class(8)))
+	}
+	for c := 8; c < 48; c++ {
+		g.Add(graph.T(class(c), rdfs.SubClassOf, class(c+1)))
+	}
+	type pe struct{ p, o int } // an out-edge seen from its subject
+	var es [][3]int
+	out := make(map[int]map[pe]bool)
+	for len(es) < edges {
+		e := [3]int{rng.Intn(nodes), rng.Intn(4), rng.Intn(nodes)}
+		if out[e[0]][pe{e[1], e[2]}] {
+			continue
+		}
+		if out[e[0]] == nil {
+			out[e[0]] = make(map[pe]bool)
+		}
+		out[e[0]][pe{e[1], e[2]}] = true
+		es = append(es, e)
+		g.Add(graph.T(iriN("n", e[0]), pred(e[1]), iriN("n", e[2])))
+	}
+	used := make(map[[2]pe]bool)
+	for i := 0; i < individuals; i++ {
+		b := blankN("ind", i)
+		if redundant {
+			e := es[rng.Intn(len(es))]
+			g.Add(graph.T(b, pred(e[1]), iriN("n", e[2])))
+			continue
+		}
+		for {
+			e1, e2 := es[rng.Intn(len(es))], es[rng.Intn(len(es))]
+			a, c := pe{e1[1], e1[2]}, pe{e2[1], e2[2]}
+			if a == c || used[[2]pe{a, c}] || used[[2]pe{c, a}] {
+				continue
+			}
+			absorbed := false
+			for _, m := range out {
+				if m[a] && m[c] {
+					absorbed = true
+					break
+				}
+			}
+			if absorbed {
+				continue
+			}
+			used[[2]pe{a, c}] = true
+			g.Add(graph.T(b, pred(a.p), iriN("n", a.o)))
+			g.Add(graph.T(b, pred(c.p), iriN("n", c.o)))
+			break
+		}
+	}
+	return g
+}
+
 // EquivalentRewrite produces a graph equivalent to g by (1) renaming all
 // blanks, (2) adding derivable triples sampled from the closure, and
 // (3) adding fresh blank instances of existing triples. Used by the

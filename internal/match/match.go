@@ -18,6 +18,15 @@
 // touches a string. The engine picks the next pattern by estimated
 // selectivity (most-constrained-first) using exact range-scan counts;
 // ablation A3 in DESIGN.md measures the effect of that heuristic.
+//
+// Patterns without an unknown are constant filters, not search steps:
+// Solve checks each one once by exact membership before the search
+// starts and drops it, or reports no solution when it is absent. The
+// backtracking search, whose every level re-counts the remaining
+// patterns, therefore costs what the patterns with unknowns cost. A map
+// search G → G pays for G's blank part only, never quadratically for
+// its ground triples — the cost model of the lean-core step (package
+// core).
 package match
 
 import (
@@ -117,6 +126,12 @@ const (
 type Index struct {
 	g    *graph.Graph
 	mode IndexMode
+
+	// hide, when non-nil, marks triples of g the view leaves out (see
+	// Hiding); excl, when hasExcl is set, is one more (see Without).
+	hide    func(dict.Triple3) bool
+	excl    dict.Triple3
+	hasExcl bool
 }
 
 // NewIndex builds a full-index view over g.
@@ -131,13 +146,54 @@ func NewIndexMode(g *graph.Graph, mode IndexMode) *Index {
 func (ix *Index) Graph() *graph.Graph { return ix.g }
 
 // ExtendedByIDs returns an Index over ix's graph extended by the given
-// (well-formed, encoded) triples, preserving the index mode. The
-// underlying graph is not mutated and its built permutations are
-// extended by merging the sorted delta run, not re-sorted (see
-// graph.Graph.ExtendedByIDs) — the index-layer step of incremental
-// closure maintenance.
+// (well-formed, encoded) triples, preserving the index mode and any
+// hidden triples (see Hiding). The underlying graph is not mutated and
+// its built permutations are extended by merging the sorted delta run,
+// not re-sorted (see graph.Graph.ExtendedByIDs) — the index-layer step
+// of incremental closure maintenance.
 func (ix *Index) ExtendedByIDs(added []dict.Triple3) *Index {
-	return &Index{g: ix.g.ExtendedByIDs(added), mode: ix.mode}
+	out := *ix
+	out.g = ix.g.ExtendedByIDs(added)
+	return &out
+}
+
+// Hiding returns a view of ix that leaves out every triple of its graph
+// for which hide reports true: solvers over it see the graph minus
+// those triples. The view shares ix's graph and its sorted
+// permutations, so one index of G serves searches into subgraphs of G
+// — what the lean-core step needs — where a copy per search would clone
+// and re-sort all three permutations each time. Hidden triples never
+// become candidates and fail the membership check of ground patterns;
+// the selectivity counts still include them (they only order the
+// search). Graph still returns the whole graph. The result also hides
+// what ix hides.
+func (ix *Index) Hiding(hide func(dict.Triple3) bool) *Index {
+	out := *ix
+	if prev := ix.hide; prev != nil {
+		out.hide = func(t dict.Triple3) bool { return prev(t) || hide(t) }
+	} else {
+		out.hide = hide
+	}
+	return &out
+}
+
+// Without returns a view of ix that also leaves out the triple t of its
+// graph, as Hiding does, except that the selectivity counts take t out
+// too. Searches into G∖{t} for each t of a set — the lean-core step —
+// each take one such view of a shared index. ix must not itself be a
+// Without view.
+func (ix *Index) Without(t dict.Triple3) *Index {
+	if ix.hasExcl {
+		panic("match: Without on a Without view")
+	}
+	out := *ix
+	out.excl, out.hasExcl = t, true
+	return &out
+}
+
+// hidden reports whether the view leaves out the stored triple t.
+func (ix *Index) hidden(t dict.Triple3) bool {
+	return (ix.hasExcl && t == ix.excl) || (ix.hide != nil && ix.hide(t))
 }
 
 // Dict returns the dictionary bindings resolve through.
@@ -161,16 +217,44 @@ func (ix *Index) scanKey(key dict.Triple3) dict.Triple3 {
 }
 
 // candidates streams the data triples compatible with the pattern key
-// under the index mode.
+// under the index mode, hidden ones included: the search loop skips
+// those (see hidden), which spares a wrapper closure per scan.
 func (ix *Index) candidates(key dict.Triple3, fn func(dict.Triple3) bool) {
 	k := ix.scanKey(key)
 	ix.g.MatchID(k[0], k[1], k[2], fn)
 }
 
-// count returns the number of candidate triples for the pattern key.
+// count returns the number of candidate triples for the pattern key,
+// less the Without triple when it falls under the key; triples Hiding
+// hides still count. It only orders the search, which scans the
+// candidates themselves, so an estimate off by a hidden triple costs
+// time, never answers.
 func (ix *Index) count(key dict.Triple3) int {
 	k := ix.scanKey(key)
-	return ix.g.CountID(k[0], k[1], k[2])
+	n := ix.g.CountID(k[0], k[1], k[2])
+	if ix.hasExcl && covers(k, ix.excl) {
+		n--
+	}
+	return n
+}
+
+// covers reports whether the stored triple t falls under the scan key k
+// (Wildcard = any position).
+func covers(k, t dict.Triple3) bool {
+	for i, id := range k {
+		if id != dict.Wildcard && id != t[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// has reports exact membership of the encoded triple t in the view. It
+// ignores the index mode on purpose: ScanOnly and PredicateOnly widen
+// scan keys, which over-approximates candidates but would make a
+// membership test unsound.
+func (ix *Index) has(t dict.Triple3) bool {
+	return ix.g.HasID(t) && !ix.hidden(t)
 }
 
 // Solver runs pattern matching against a fixed Index.
@@ -274,14 +358,28 @@ func (s *Solver) resolveKey(p dict.Triple3, b Binding) dict.Triple3 {
 // Solve enumerates bindings that satisfy all patterns, invoking yield for
 // each. If yield returns false the search stops (reported as complete).
 // The returned flag is false only if the MaxSteps budget was exhausted
-// before the search space was covered.
+// (or the context cancelled) before the search space was covered.
+//
+// Patterns without an unknown are checked once, by exact membership,
+// before the search: an absent one means no solution (a complete
+// search), a present one constrains nothing and is dropped. Only
+// patterns with an unknown enter the backtracking search, and only they
+// spend MaxSteps.
 func (s *Solver) Solve(patterns []graph.Triple, yield func(Binding) bool) (complete bool) {
 	s.steps = 0
 	s.err = nil
 	encoded := s.encode(patterns)
+	open := encoded[:0]
+	for _, p := range encoded {
+		if s.unknown[p[0]] || s.unknown[p[1]] || s.unknown[p[2]] {
+			open = append(open, p)
+		} else if !s.ix.has(p) {
+			return true
+		}
+	}
 	b := make(Binding)
 	stopped := false
-	ok := s.solve(encoded, b, func(bind Binding) bool {
+	ok := s.solve(open, b, func(bind Binding) bool {
 		if !yield(bind) {
 			stopped = true
 			return false
@@ -346,6 +444,9 @@ func (s *Solver) solve(remaining []dict.Triple3, b Binding, yield func(Binding) 
 
 	ok := true
 	s.ix.candidates(s.resolveKey(p, b), func(cand dict.Triple3) bool {
+		if s.ix.hidden(cand) {
+			return true
+		}
 		if s.interrupted() {
 			ok = false
 			return false

@@ -526,34 +526,23 @@ func mergeAnswerLean(a *Answer) bool {
 	for i, s := range a.Singles {
 		renamed[i] = graph.RenameBlanksApart(s, fmt.Sprintf("!m%d", i))
 	}
-	finder := newFinderCache(a.Graph)
+	// One index of A serves every search into A∖{t}: the views leave t
+	// out instead of copying A per t.
+	ix := match.NewIndex(a.Graph)
+	blanks := func(x term.Term) bool { return x.IsBlank() }
 	for _, gj := range renamed {
+		var src []graph.Triple
 		for _, t := range gj.NonGroundTriples() {
-			if finder.mapsIntoWithout(gj, t) {
+			if src == nil {
+				src = gj.Triples()
+			}
+			s := match.NewSolver(ix.Without(a.Graph.InternTriple(t)), match.Options{IsUnknown: blanks})
+			if _, found, _ := s.First(src); found {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// finderCache performs repeated map searches into A∖{t} without
-// rebuilding the full index each time (the target differs by one triple).
-type finderCache struct {
-	a *graph.Graph
-}
-
-func newFinderCache(a *graph.Graph) *finderCache { return &finderCache{a: a} }
-
-func (f *finderCache) mapsIntoWithout(src *graph.Graph, t graph.Triple) bool {
-	target := f.a.Without(t)
-	blanks := func(x term.Term) bool { return x.IsBlank() }
-	found := false
-	match.Solve(src.Triples(), target, match.Options{IsUnknown: blanks}, func(match.Binding) bool {
-		found = true
-		return false
-	})
-	return found
 }
 
 // EliminateRedundancy returns an equivalent lean version of the answer
